@@ -70,19 +70,17 @@ Status GetFixed64(Slice* src, uint64_t* v) {
   return Status::OK();
 }
 
-Status GetVarint64(Slice* src, uint64_t* v) {
-  uint64_t result = 0;
-  for (uint32_t shift = 0; shift <= 63 && !src->empty(); shift += 7) {
-    uint8_t byte = (*src)[0];
-    src->RemovePrefix(1);
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = result;
-      return Status::OK();
-    }
-  }
+namespace internal {
+
+Status VarintTruncated() {
   return Status::Corruption("truncated or overlong varint64");
 }
+
+Status VarintOverflow() {
+  return Status::Corruption("varint64 overflows 64 bits");
+}
+
+}  // namespace internal
 
 Status GetVarint32(Slice* src, uint32_t* v) {
   uint64_t wide;

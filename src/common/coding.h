@@ -25,7 +25,39 @@ void PutLengthPrefixed(std::vector<uint8_t>* dst, Slice value);
 Status GetFixed32(Slice* src, uint32_t* v);
 Status GetFixed64(Slice* src, uint64_t* v);
 Status GetVarint32(Slice* src, uint32_t* v);
-Status GetVarint64(Slice* src, uint64_t* v);
+
+namespace internal {
+/// Failure statuses of GetVarint64, kept out of line (cold paths).
+Status VarintTruncated();
+Status VarintOverflow();
+}  // namespace internal
+
+/// Inline: a log record decode runs it several times per record. *v is
+/// 0 after a failure.
+inline Status GetVarint64(Slice* src, uint64_t* v) {
+  const uint8_t* p = src->data();
+  const uint8_t* const end = p + src->size();
+  uint64_t result = 0;
+  *v = 0;
+  for (uint32_t shift = 0; shift <= 63 && p < end; shift += 7) {
+    const uint8_t byte = *p++;
+    // The 10th byte holds only bit 63: anything larger would overflow
+    // and silently lose its high bits.
+    if (shift == 63 && byte > 1) {
+      src->RemovePrefix(static_cast<size_t>(p - src->data()));
+      return internal::VarintOverflow();
+    }
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      src->RemovePrefix(static_cast<size_t>(p - src->data()));
+      *v = result;
+      return Status::OK();
+    }
+  }
+  src->RemovePrefix(static_cast<size_t>(p - src->data()));
+  return internal::VarintTruncated();
+}
+
 /// Returns a view into `src`'s buffer; valid while the buffer lives.
 Status GetLengthPrefixed(Slice* src, Slice* value);
 

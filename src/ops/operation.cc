@@ -91,7 +91,7 @@ Status OperationDesc::DecodeFrom(Slice* src, OperationDesc* out) {
   }
   Slice params;
   LOGLOG_RETURN_IF_ERROR(GetLengthPrefixed(src, &params));
-  out->params = params.ToBytes();
+  out->params.assign(params.data(), params.data() + params.size());
   return Status::OK();
 }
 

@@ -1,10 +1,25 @@
 #include "recovery/analysis.h"
 
 #include <algorithm>
-#include <functional>
+#include <cassert>
 #include <utility>
 
 namespace loglog {
+
+void OpWriteIndex::Add(Lsn lsn, std::span<const ObjectId> writes) {
+  assert(entries_.empty() || entries_.back().lsn < lsn);
+  ids_.insert(ids_.end(), writes.begin(), writes.end());
+  entries_.push_back({lsn, ids_.size()});
+}
+
+bool OpWriteIndex::Find(Lsn lsn, std::span<const ObjectId>* writes) const {
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), lsn,
+      [](const Entry& e, Lsn l) { return e.lsn < l; });
+  if (it == entries_.end() || it->lsn != lsn) return false;
+  *writes = this->writes(static_cast<size_t>(it - entries_.begin()));
+  return true;
+}
 
 void AnalysisBuilder::Add(const LogRecord& rec) {
   // Transaction-table evolution. Compensation records are also ordinary
@@ -43,56 +58,57 @@ void AnalysisBuilder::Add(const LogRecord& rec) {
       // identical to replaying the evolution from the last checkpoint,
       // without a second pass to find it first.
       out_.last_checkpoint = rec.lsn;
-      out_.dot.clear();
-      out_.dot_classic.clear();
+      for (ObjectState& o : objects_) {
+        o.in_dot = false;
+        o.in_dot_classic = false;
+      }
       for (const DotEntry& e : rec.dot) {
-        out_.dot[e.id] = e.rsi;
-        out_.dot_classic[e.id] = e.rsi;
+        ObjectState& o = Object(e.id);
+        o.in_dot = o.in_dot_classic = true;
+        o.rsi = o.rsi_classic = e.rsi;
       }
       break;
     case RecordType::kCompensation:
       ++out_.compensation_records;
       [[fallthrough]];
     case RecordType::kOperation:
-      // Dirty-object-table evolution: first uninstalled writer pins the
-      // rSI.
       for (ObjectId x : rec.op.writes) {
-        out_.dot.try_emplace(x, rec.lsn);
-        out_.dot_classic.try_emplace(x, rec.lsn);
-      }
-      // Full-log accumulators: readers, writesets, delete lifetimes.
-      for (ObjectId r : rec.op.reads) {
-        out_.readers[r].push_back(rec.lsn);
-      }
-      out_.op_writes[rec.lsn] = rec.op.writes;
-      for (ObjectId x : rec.op.writes) {
-        if (rec.op.op_class == OpClass::kDelete) {
-          out_.deleted_at[x] = rec.lsn;
-        } else {
-          out_.deleted_at.erase(x);
+        ObjectState& o = Object(x);
+        // Dirty-object-table evolution: first uninstalled writer pins
+        // the rSI.
+        if (!o.in_dot) {
+          o.in_dot = true;
+          o.rsi = rec.lsn;
         }
+        if (!o.in_dot_classic) {
+          o.in_dot_classic = true;
+          o.rsi_classic = rec.lsn;
+        }
+        // Delete lifetimes: the last write decides.
+        o.deleted = rec.op.op_class == OpClass::kDelete;
+        if (o.deleted) o.deleted_at = rec.lsn;
       }
+      // Full-log accumulators: readers and writesets.
+      for (ObjectId r : rec.op.reads) Object(r).readers.push_back(rec.lsn);
+      out_.op_writes.Add(rec.lsn, rec.op.writes);
       break;
     case RecordType::kInstall:
       // The generalized table applies install records for vars(n) and
       // Notx(n); the classic (ARIES-style) table honors only actual
       // flushes.
       for (const InstallEntry& e : rec.installed_vars) {
-        if (e.rsi == kInvalidLsn) {
-          out_.dot.erase(e.id);
-          out_.dot_classic.erase(e.id);
-        } else {
-          out_.dot[e.id] = e.rsi;
-          out_.dot_classic[e.id] = e.rsi;
-        }
+        ObjectState& o = Object(e.id);
+        o.in_dot = o.in_dot_classic = e.rsi != kInvalidLsn;
+        o.rsi = o.rsi_classic = e.rsi;
       }
       for (const InstallEntry& e : rec.installed_notx) {
-        if (e.rsi == kInvalidLsn) {
-          out_.dot.erase(e.id);
-        } else {
-          out_.dot[e.id] = e.rsi;
-        }
+        ObjectState& o = Object(e.id);
+        o.in_dot = e.rsi != kInvalidLsn;
+        o.rsi = e.rsi;
       }
+      break;
+    case RecordType::kFlushTxnBegin:
+      ++out_.flush_txn_begins;
       break;
     case RecordType::kFlushTxnCommit:
       out_.committed_flush_txns.insert(rec.ref_lsn);
@@ -107,14 +123,29 @@ void AnalysisBuilder::Add(const LogRecord& rec) {
   }
 }
 
+AnalysisBuilder::ObjectState& AnalysisBuilder::Object(ObjectId id) {
+  auto [it, inserted] = slots_.try_emplace(id, objects_.size());
+  if (inserted) objects_.emplace_back().id = id;
+  return objects_[it->second];
+}
+
 AnalysisResult AnalysisBuilder::Finish() {
-  for (const auto& [id, rsi] : out_.dot) {
-    if (rsi != kInvalidLsn) out_.redo_start = std::min(out_.redo_start, rsi);
-  }
-  for (const auto& [id, rsi] : out_.dot_classic) {
-    if (rsi != kInvalidLsn) {
-      out_.redo_start_classic = std::min(out_.redo_start_classic, rsi);
+  for (ObjectState& o : objects_) {
+    if (o.in_dot) {
+      out_.dot.emplace(o.id, o.rsi);
+      if (o.rsi != kInvalidLsn) {
+        out_.redo_start = std::min(out_.redo_start, o.rsi);
+      }
     }
+    if (o.in_dot_classic) {
+      out_.dot_classic.emplace(o.id, o.rsi_classic);
+      if (o.rsi_classic != kInvalidLsn) {
+        out_.redo_start_classic =
+            std::min(out_.redo_start_classic, o.rsi_classic);
+      }
+    }
+    if (o.deleted) out_.deleted_at.emplace(o.id, o.deleted_at);
+    if (!o.readers.empty()) out_.readers.emplace(o.id, std::move(o.readers));
   }
   return std::move(out_);
 }
@@ -126,7 +157,7 @@ AnalysisResult RunAnalysis(const std::vector<LogRecord>& records) {
 }
 
 bool BasicRsiRedoable(const AnalysisResult& analysis, Lsn lsn,
-                      const std::vector<ObjectId>& writes) {
+                      std::span<const ObjectId> writes) {
   for (ObjectId x : writes) {
     auto it = analysis.dot.find(x);
     if (it != analysis.dot.end() && lsn >= it->second) return true;
@@ -137,18 +168,17 @@ bool BasicRsiRedoable(const AnalysisResult& analysis, Lsn lsn,
 std::unordered_map<Lsn, bool> ComputeRedoFixpoint(
     const AnalysisResult& analysis) {
   // analysis.op_writes holds every operation's lSI and writeset — all
-  // this pass needs — so reverse record order is just descending keys.
-  std::vector<Lsn> lsns;
-  lsns.reserve(analysis.op_writes.size());
-  for (const auto& [lsn, writes] : analysis.op_writes) lsns.push_back(lsn);
-  std::sort(lsns.begin(), lsns.end(), std::greater<Lsn>());
+  // this pass needs — in ascending LSN order, so reverse record order is
+  // a backwards walk.
+  const OpWriteIndex& ops = analysis.op_writes;
   std::unordered_map<Lsn, bool> redo;
+  redo.reserve(ops.size());
   // Reverse LSN order: readers are strictly later than the writes they
   // gate, so their final decisions are available when needed.
-  for (Lsn lsn : lsns) {
-    const std::vector<ObjectId>& writes = analysis.op_writes.at(lsn);
+  for (size_t i = ops.size(); i-- > 0;) {
+    const Lsn lsn = ops.lsn(i);
     bool needed = false;
-    for (ObjectId x : writes) {
+    for (ObjectId x : ops.writes(i)) {
       auto dot_it = analysis.dot.find(x);
       if (dot_it == analysis.dot.end()) continue;  // clean: installed
       if (lsn < dot_it->second) continue;          // lSI < rSI: installed
@@ -193,9 +223,9 @@ bool DeadSkipAllowed(const AnalysisResult& analysis, ObjectId x, Lsn lsn) {
   if (readers_it == analysis.readers.end()) return true;
   for (Lsn reader : readers_it->second) {
     if (reader <= lsn || reader >= delete_lsn) continue;
-    auto writes_it = analysis.op_writes.find(reader);
-    if (writes_it == analysis.op_writes.end()) continue;
-    if (BasicRsiRedoable(analysis, reader, writes_it->second)) {
+    std::span<const ObjectId> writes;
+    if (!analysis.op_writes.Find(reader, &writes)) continue;
+    if (BasicRsiRedoable(analysis, reader, writes)) {
       // A possibly-uninstalled operation still needs x's value: x is not
       // unexposed between this write and the delete.
       return false;

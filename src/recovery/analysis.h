@@ -2,6 +2,7 @@
 #define LOGLOG_RECOVERY_ANALYSIS_H_
 
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -9,6 +10,35 @@
 #include "wal/log_record.h"
 
 namespace loglog {
+
+/// \brief Writesets of every logged operation, flat and in ascending LSN
+/// order (the order analysis meets them): entry i is the operation at
+/// lsn(i), writing writes(i). Lookups by LSN binary-search; reverse
+/// passes walk the indices backwards. Flat, so that recording and freeing
+/// it costs no allocation per logged operation.
+class OpWriteIndex {
+ public:
+  /// Appends the operation at `lsn`, which must exceed every LSN added.
+  void Add(Lsn lsn, std::span<const ObjectId> writes);
+
+  size_t size() const { return entries_.size(); }
+  Lsn lsn(size_t i) const { return entries_[i].lsn; }
+  std::span<const ObjectId> writes(size_t i) const {
+    const size_t begin = i == 0 ? 0 : entries_[i - 1].end;
+    return {ids_.data() + begin, entries_[i].end - begin};
+  }
+
+  /// Writeset of the operation at `lsn`; false when none was logged.
+  bool Find(Lsn lsn, std::span<const ObjectId>* writes) const;
+
+ private:
+  struct Entry {
+    Lsn lsn;
+    size_t end;  // one past this entry's last id in ids_
+  };
+  std::vector<Entry> entries_;
+  std::vector<ObjectId> ids_;
+};
 
 /// \brief Output of the recovery analysis pass (Section 5 "Logging and
 /// Recovery using rSI's").
@@ -38,9 +68,13 @@ struct AnalysisResult {
   /// operation read the object between the write and the delete.
   std::unordered_map<ObjectId, std::vector<Lsn>> readers;
   /// lSI -> writeset of every logged operation (for the reader check).
-  std::unordered_map<Lsn, std::vector<ObjectId>> op_writes;
+  OpWriteIndex op_writes;
   /// Begin-record LSNs of flush transactions whose commit is on the log.
   std::set<Lsn> committed_flush_txns;
+  /// Count of kFlushTxnBegin records seen, committed or not. The redo
+  /// scan counts every one as scanned, including those before the
+  /// offset it seeks to.
+  uint64_t flush_txn_begins = 0;
   /// LSN of the last checkpoint record found (kInvalidLsn if none).
   Lsn last_checkpoint = kInvalidLsn;
   /// Minimum rSI over the dirty object table: the redo scan start point.
@@ -98,11 +132,30 @@ struct AnalysisResult {
 class AnalysisBuilder {
  public:
   void Add(const LogRecord& rec);
-  /// Computes the scan start points and yields the result. The builder
-  /// is spent afterwards.
+  /// Builds the per-object tables, computes the scan start points and
+  /// yields the result. The builder is spent afterwards.
   AnalysisResult Finish();
 
  private:
+  /// One object's entries in the dot, dot_classic, deleted_at and
+  /// readers tables while records stream in. Keeping them together costs
+  /// one hash lookup per object a record names, and an install that
+  /// cleans an object followed by a write that dirties it again
+  /// allocates nothing; Finish() builds the result's maps from them.
+  struct ObjectState {
+    ObjectId id = kInvalidObjectId;
+    bool in_dot = false;
+    bool in_dot_classic = false;
+    bool deleted = false;
+    Lsn rsi = kInvalidLsn;          // dot entry, when in_dot
+    Lsn rsi_classic = kInvalidLsn;  // dot_classic entry, when in_dot_classic
+    Lsn deleted_at = kInvalidLsn;   // deleted_at entry, when deleted
+    std::vector<Lsn> readers;
+  };
+  ObjectState& Object(ObjectId id);
+
+  std::unordered_map<ObjectId, size_t> slots_;  // id -> index in objects_
+  std::vector<ObjectState> objects_;
   AnalysisResult out_;
 };
 
@@ -115,16 +168,16 @@ AnalysisResult RunAnalysis(const std::vector<LogRecord>& records);
 /// the redone set, which makes it safe for gating the deleted-object
 /// optimization.
 bool BasicRsiRedoable(const AnalysisResult& analysis, Lsn lsn,
-                      const std::vector<ObjectId>& writes);
+                      std::span<const ObjectId> writes);
 
 /// True when the write of `x` by the operation at `lsn` may be treated as
 /// unexposed because x was deleted afterwards and no possibly-uninstalled
 /// operation read x between the write and the delete.
 bool DeadSkipAllowed(const AnalysisResult& analysis, ObjectId x, Lsn lsn);
 
-/// Exact static redo decisions for the kRsiFixpoint REDO test: processes
-/// operations in reverse LSN order so each dead-skip consults the final
-/// decision of every (strictly later) reader. Returns lSI -> would-redo;
+/// Exact static redo decisions for the kRsiFixpoint REDO test: walks
+/// op_writes backwards (reverse LSN order) so each dead-skip consults the
+/// final decision of every (strictly later) reader. Returns lSI -> would-redo;
 /// operations absent from the map are statically skippable. Conservative
 /// with respect to dynamic vSI skips (those only shrink the redone set).
 /// Needs only the analysis accumulators (op_writes carries every

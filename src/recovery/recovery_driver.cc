@@ -223,7 +223,9 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
   // Pass 1 — streaming analysis: one cursor walk feeds the analysis
   // builder record by record. Nothing is materialized, so recovery memory
   // is bounded by the analysis tables (the dirty set and the retained
-  // readers/writesets), not the log length.
+  // readers/writesets), not the log length. This is the only walk that
+  // decodes the whole log: the log manager's open indexed frames only,
+  // and the redo pass below seeks past what it does not need.
   AnalysisBuilder builder;
   Lsn next_lsn = 1;
   // Log-store index rebuild rides the same streaming walk. The rebuilt
@@ -290,6 +292,10 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
       // point.
       disk_->log().TearTail(disk_->log().end_offset() - cursor.valid_end());
     }
+    // The manager's frame-only open accepts a checksummed frame whose
+    // body does not decode; this walk stopped there. Cut the manager's
+    // offset index, stable LSN and LSN counter at the same point.
+    log_->ClipStable(cursor.valid_end(), next_lsn);
     span.AddArg("records", stats->log_records_total);
     span.AddArg("torn", cursor.torn() ? "true" : "false");
   }
@@ -338,9 +344,6 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
   if (stats->corrupt_objects > 0) {
     TraceSpan span("recovery.media_repair", "recovery",
                    {{"corrupt", std::to_string(stats->corrupt_objects)}});
-    // Seed the counter first: the repair ships the rebuilt recovery's
-    // loser-rollback tail onto the live log, advancing it past next_lsn.
-    log_->SetNextLsn(next_lsn);
     LOGLOG_RETURN_IF_ERROR(RepairFromMedia(next_lsn - 1, stats));
     span.AddArg("repairs", stats->media_repairs);
     stats->media_recovery = true;
@@ -351,20 +354,33 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
     return Status::OK();
   }
 
+  // Pass 2 seeks instead of walking the whole log: it starts at the
+  // oldest record it needs. That is the minimum of the redo start
+  // (kInvalidLsn, the log start, for kAlways), each loser's first record
+  // and the oldest committed flush transaction's begin.
+  Lsn seek = start;
   // The loser table: transactions still in flight at the end of the log.
   // Their forward operation records are stashed during the redo scan
-  // below (which walks the whole retained log anyway — the checkpoint
-  // truncation floor guarantees a loser's chain survives), then rolled
-  // back after redo completes.
+  // below (the checkpoint truncation floor guarantees a loser's chain
+  // survives), then rolled back after redo completes. A loser whose
+  // begin was truncated away (begin_lsn == kInvalidLsn) pins the seek to
+  // the log start.
   std::unordered_map<uint64_t, std::vector<TxnChainRecord>> loser_chains;
   for (const auto& [tid, info] : analysis.txns) {
     if (info.state == AnalysisResult::TxnInfo::State::kInFlight) {
       loser_chains.try_emplace(tid);
+      seek = std::min(seek, info.begin_lsn);
     }
   }
+  if (!analysis.committed_flush_txns.empty()) {
+    seek = std::min(seek, *analysis.committed_flush_txns.begin());
+  }
+  // records_scanned counts every flush-transaction begin on the log,
+  // including those before the seek point: take them from the analysis.
+  stats->records_scanned += analysis.flush_txn_begins;
 
-  // Pass 2 — redo scan: a second cursor walk (the tail, if torn, was
-  // already cut by pass 1). The serial path decides and replays in
+  // Pass 2 — redo scan: a cursor from the seek point (the tail, if torn,
+  // was already cut by pass 1). The serial path decides and replays in
   // place; the parallel path collects the workload — operations at or
   // after the start plus committed flush transactions — and hands it to
   // the partitioned worker pool. The scan-order counters are identical
@@ -388,7 +404,9 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
   Gauge* progress_bytes =
       progress_reg.GetGauge(metric::kRecoveryProgressBytes);
   std::vector<LogRecord> parallel_work;
-  LogCursor cursor(disk_->log());
+  uint64_t seek_offset = disk_->log().end_offset();  // nothing needed
+  log_->FirstStableOffsetAtOrAfter(seek, &seek_offset);
+  LogCursor cursor(disk_->log(), seek_offset);
   LogRecord rec;
   while (cursor.Next(&rec)) {
     switch (rec.type) {
@@ -445,7 +463,6 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
         break;
       }
       case RecordType::kFlushTxnBegin: {
-        ++stats->records_scanned;
         // Complete a committed flush transaction whose in-place writes
         // may have been interrupted: re-apply the frozen values to the
         // stable store wherever it is behind. Uncommitted transactions
@@ -501,11 +518,8 @@ Status RecoveryDriver::RunPhases(RecoveryStats* stats) {
     stats->expensive_redos += pr.expensive_redos;
   }
   redo_span.AddArg("redone", stats->ops_redone);
+  redo_span.AddArg("decoded", cursor.records_read());
   redo_span.End();
-
-  // Re-seed the LSN counter before the loser pass: its compensation
-  // records are new appends past the scanned history.
-  log_->SetNextLsn(next_lsn);
 
   // Pass 3 — loser rollback: roll back every transaction the crash left
   // in flight before the system opens. Redo repeated history first, so

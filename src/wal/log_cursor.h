@@ -1,6 +1,7 @@
 #ifndef LOGLOG_WAL_LOG_CURSOR_H_
 #define LOGLOG_WAL_LOG_CURSOR_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/slice.h"
@@ -14,14 +15,19 @@ namespace loglog {
 /// \brief Incremental decoder over a framed log: the one walk every log
 /// consumer shares.
 ///
-/// LogManager's constructor, the recovery driver's analysis and redo
-/// passes, and media recovery all need the same loop — decode framed
-/// records in order, stop cleanly at a torn tail, and keep the
-/// next-LSN / valid-byte bookkeeping consistent. Before this class each
-/// of them hand-rolled the walk (and the constructor and ReadStable
-/// disagreed in subtle ways on torn tails); now they all advance one
-/// cursor, one record at a time, so recovery memory stays O(1) records
-/// instead of materializing the whole log.
+/// Every reader of a framed log — LogManager's constructor, the recovery
+/// driver's analysis and redo passes, media recovery, the log shipper —
+/// needs the same loop: read framed records in order, stop cleanly at a
+/// torn tail, and keep the next-LSN / valid-byte bookkeeping consistent.
+/// They all advance one cursor, one record at a time, so memory stays
+/// O(1) records instead of materializing the log.
+///
+/// A restart decodes the log once. LogManager's constructor walks frames
+/// only (NextHeader: CRC-checked, body left undecoded) to index each
+/// record's LSN and device offset. Recovery's analysis pass is the one
+/// full decode (Next). The redo pass then seeks: it opens a cursor on
+/// the retained log at the offset of the first record it needs (see
+/// LogManager::FirstStableOffsetAtOrAfter), not at the log start.
 class LogCursor {
  public:
   /// Cursor over raw framed bytes whose first byte sits at absolute
@@ -35,29 +41,31 @@ class LogCursor {
   explicit LogCursor(const StableLogDevice& device)
       : LogCursor(device.Contents(), device.start_offset()) {}
 
+  /// Cursor over a device's retained log from absolute offset `offset`,
+  /// which must be a frame start inside [start_offset, end_offset].
+  LogCursor(const StableLogDevice& device, uint64_t offset)
+      : LogCursor(Tail(device, offset), offset) {}
+
   /// Decodes the next record into *rec. Returns false at the clean end
   /// of the log, at a torn tail (torn() becomes true), or on a decode
   /// error (status() becomes non-OK); the cursor never advances past the
   /// failure point, so valid_end() is the offset where trust ends.
   bool Next(LogRecord* rec) {
     if (done_) return false;
-    Slice before = contents_;
-    Status st = ReadFramedRecord(&contents_, rec);
-    if (!st.ok()) {
-      done_ = true;
-      if (st.IsCorruption()) {
-        // Torn tail: the final force did not complete. Everything before
-        // it is valid; consumers proceed from what they have.
-        torn_ = true;
-      } else if (!st.IsNotFound()) {
-        status_ = st;
-      }
-      return false;
-    }
-    record_offset_ = offset_;
-    offset_ += before.size() - contents_.size();
-    if (rec->lsn > max_lsn_) max_lsn_ = rec->lsn;
-    ++records_read_;
+    const size_t before = contents_.size();
+    if (!Advance(ReadFramedRecord(&contents_, rec), before)) return false;
+    max_lsn_ = std::max(max_lsn_, rec->lsn);
+    return true;
+  }
+
+  /// Frame-only step: checks the next frame's length and CRC32C and
+  /// decodes only its type and LSN. Same stop rules as Next(); a frame
+  /// whose body would not decode still counts as valid here.
+  bool NextHeader(RecordType* type, Lsn* lsn) {
+    if (done_) return false;
+    const size_t before = contents_.size();
+    if (!Advance(ReadFrameHeader(&contents_, type, lsn), before)) return false;
+    max_lsn_ = std::max(max_lsn_, *lsn);
     return true;
   }
 
@@ -77,12 +85,38 @@ class LogCursor {
   uint64_t valid_end() const { return offset_; }
 
   /// Absolute device offset of the record most recently returned by
-  /// Next().
+  /// Next() or NextHeader().
   uint64_t record_offset() const { return record_offset_; }
 
   uint64_t records_read() const { return records_read_; }
 
  private:
+  static Slice Tail(const StableLogDevice& device, uint64_t offset) {
+    Slice all = device.Contents();
+    all.RemovePrefix(offset - device.start_offset());
+    return all;
+  }
+
+  /// Shared bookkeeping after one read attempt that started with
+  /// `before` bytes left.
+  bool Advance(const Status& st, size_t before) {
+    if (!st.ok()) {
+      done_ = true;
+      if (st.IsCorruption()) {
+        // Torn tail: the final force did not complete. Everything before
+        // it is valid; consumers proceed from what they have.
+        torn_ = true;
+      } else if (!st.IsNotFound()) {
+        status_ = st;
+      }
+      return false;
+    }
+    record_offset_ = offset_;
+    offset_ += before - contents_.size();
+    ++records_read_;
+    return true;
+  }
+
   Slice contents_;
   uint64_t offset_;
   uint64_t record_offset_;

@@ -89,17 +89,49 @@ LogManager::LogManager(StableLogDevice* device) : device_(device) {
   append_bytes_ = reg.GetCounter(metric::kWalAppendBytes);
   append_allocs_ = reg.GetCounter(metric::kWalAppendAllocs);
   encoded_.resize(kInitialArenaBytes);  // one zero-fill, at construction
-  // Index whatever valid records already sit on the device (recovery
+  // Index whatever valid frames already sit on the device (recovery
   // case): record their offsets for truncation and continue the LSN
-  // sequence past them. A torn tail is ignored here; the recovery driver
-  // deals with it.
+  // sequence past them. Frame-only — CRC-checked, bodies undecoded;
+  // recovery's analysis pass is the one full decode, and ClipStable then
+  // cuts this index to what that decode accepted. A torn tail is ignored
+  // here; the recovery driver deals with it.
   LogCursor cursor(*device_);
-  LogRecord rec;
-  while (cursor.Next(&rec)) {
-    stable_offsets_.emplace_back(rec.lsn, cursor.record_offset());
-    if (rec.lsn > last_stable_lsn_) last_stable_lsn_ = rec.lsn;
+  RecordType type = RecordType::kOperation;
+  Lsn lsn = kInvalidLsn;
+  while (cursor.NextHeader(&type, &lsn)) {
+    stable_offsets_.emplace_back(lsn, cursor.record_offset());
   }
-  next_lsn_ = std::max(next_lsn_, cursor.next_lsn());
+  next_lsn_ = cursor.next_lsn();
+  last_stable_lsn_ = next_lsn_ - 1;
+}
+
+std::vector<std::pair<Lsn, uint64_t>>::const_iterator
+LogManager::StableLowerBoundLocked(Lsn lsn) const {
+  return std::lower_bound(
+      stable_offsets_.begin(), stable_offsets_.end(), lsn,
+      [](const std::pair<Lsn, uint64_t>& e, Lsn l) { return e.first < l; });
+}
+
+void LogManager::ClipStable(uint64_t valid_end, Lsn next_lsn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  assert(pending_.empty());
+  // Offsets ascend with LSNs: drop the suffix at or past valid_end.
+  auto cut = std::lower_bound(
+      stable_offsets_.begin(), stable_offsets_.end(), valid_end,
+      [](const std::pair<Lsn, uint64_t>& e, uint64_t off) {
+        return e.second < off;
+      });
+  stable_offsets_.erase(cut, stable_offsets_.end());
+  next_lsn_ = next_lsn;
+  last_stable_lsn_ = next_lsn - 1;
+}
+
+bool LogManager::FirstStableOffsetAtOrAfter(Lsn lsn, uint64_t* offset) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = StableLowerBoundLocked(lsn);
+  if (it == stable_offsets_.end()) return false;
+  *offset = it->second;
+  return true;
 }
 
 void LogManager::EnsureArenaRoomLocked(std::unique_lock<std::mutex>& lock,
@@ -484,9 +516,7 @@ Status LogManager::WaitStable(Lsn upto) {
 
 void LogManager::TruncateBefore(Lsn lsn) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = std::lower_bound(
-      stable_offsets_.begin(), stable_offsets_.end(), lsn,
-      [](const std::pair<Lsn, uint64_t>& e, Lsn l) { return e.first < l; });
+  auto it = StableLowerBoundLocked(lsn);
   if (it == stable_offsets_.begin()) return;
   uint64_t offset;
   if (it == stable_offsets_.end()) {
@@ -502,9 +532,7 @@ void LogManager::TruncateBefore(Lsn lsn) {
 bool LogManager::StableExtentOf(Lsn lsn, uint64_t* offset,
                                 uint64_t* size) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = std::lower_bound(
-      stable_offsets_.begin(), stable_offsets_.end(), lsn,
-      [](const std::pair<Lsn, uint64_t>& e, Lsn l) { return e.first < l; });
+  auto it = StableLowerBoundLocked(lsn);
   if (it == stable_offsets_.end() || it->first != lsn) return false;
   *offset = it->second;
   auto next = it + 1;

@@ -211,7 +211,22 @@ class LogManager {
   /// cold tier.
   bool StableExtentOf(Lsn lsn, uint64_t* offset, uint64_t* size) const;
 
-  /// Re-seeds the LSN counter after recovery scanned an existing log.
+  /// Device offset of the first stable record whose LSN is >= `lsn`
+  /// (where a redo pass that needs nothing older seeks to). False when
+  /// every stable record precedes `lsn`.
+  bool FirstStableOffsetAtOrAfter(Lsn lsn, uint64_t* offset) const;
+
+  /// Cuts the stable view to what recovery's full decode accepted: the
+  /// constructor's frame-only walk also indexes a checksummed frame whose
+  /// body does not decode (and whatever follows it), which the decoding
+  /// cursor treats as a torn tail. Drops every offset entry at or past
+  /// `valid_end`, and makes `next_lsn` - 1 the last stable LSN and
+  /// `next_lsn` the next one assigned. Called once by recovery, before
+  /// anything is appended.
+  void ClipStable(uint64_t valid_end, Lsn next_lsn);
+
+  /// Re-seeds the LSN counter (a standby seeded from a backup resumes at
+  /// the primary's numbering).
   void SetNextLsn(Lsn next) {
     std::lock_guard<std::mutex> lock(mu_);
     next_lsn_ = next;
@@ -285,6 +300,9 @@ class LogManager {
   /// Reclaims acknowledged arena prefix when nothing references it.
   void MaybeCompactLocked();
   void EnsureCountersLocked();
+  /// First stable_offsets_ entry whose LSN is >= lsn.
+  std::vector<std::pair<Lsn, uint64_t>>::const_iterator StableLowerBoundLocked(
+      Lsn lsn) const;
 
   StableLogDevice* device_;
 

@@ -48,17 +48,68 @@ Status GetUndoImages(Slice* src, std::vector<UndoImage>* out) {
   LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &n));
   // At least two bytes per image (exists flag + length varint).
   if (n > src->size()) return Status::Corruption("undo image count too large");
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    UndoImage img;
+  // Decode in place: a reused record keeps each image's value buffer.
+  out->resize(n);
+  for (UndoImage& img : *out) {
     if (src->empty()) return Status::Corruption("truncated undo image");
     img.exists = (*src)[0] != 0;
     src->RemovePrefix(1);
     Slice value;
     LOGLOG_RETURN_IF_ERROR(GetLengthPrefixed(src, &value));
-    img.value = value.ToBytes();
-    out->push_back(std::move(img));
+    img.value.assign(value.data(), value.data() + value.size());
+  }
+  return Status::OK();
+}
+
+/// The type byte and LSN varint that open every record payload.
+Status DecodeRecordHeader(Slice* src, RecordType* type, Lsn* lsn) {
+  if (src->empty()) return Status::Corruption("empty record");
+  uint8_t type_byte = (*src)[0];
+  src->RemovePrefix(1);
+  if (type_byte < 1 ||
+      type_byte > static_cast<uint8_t>(RecordType::kIndexCheckpoint)) {
+    return Status::Corruption("bad record type");
+  }
+  *type = static_cast<RecordType>(type_byte);
+  return GetVarint64(src, lsn);
+}
+
+/// Resets every field a record type may carry, keeping vector capacity,
+/// so a record decoded into a reused LogRecord carries nothing over from
+/// the previous one. Undo images and flush values are left to their own
+/// decoders (which resize in place) when the new record carries them.
+void ResetForDecode(RecordType type, LogRecord* rec) {
+  rec->op.op_class = OpClass::kLogical;
+  rec->op.func = kFuncSetValue;
+  rec->op.writes.clear();
+  rec->op.reads.clear();
+  rec->op.params.clear();
+  rec->txn_id = 0;
+  rec->prev_lsn = kInvalidLsn;
+  rec->undo_next_lsn = kInvalidLsn;
+  rec->undo_skip = 0;
+  if (type != RecordType::kOperation) rec->undo_images.clear();
+  rec->dot.clear();
+  rec->installed_vars.clear();
+  rec->installed_notx.clear();
+  if (type != RecordType::kFlushTxnBegin) rec->flush_values.clear();
+  rec->index_entries.clear();
+  rec->ref_lsn = kInvalidLsn;
+  rec->policy = LogRecord::PolicyPayload{};
+}
+
+/// Checks one frame's length and CRC32C and returns its payload, without
+/// consuming `src`: NotFound at the clean end, Corruption when the bytes
+/// do not form a whole checksummed frame (a torn tail).
+Status CheckFrame(Slice src, Slice* payload) {
+  if (src.empty()) return Status::NotFound("end of log");
+  if (src.size() < 8) return Status::Corruption("torn record header");
+  const uint32_t len = DecodeFixed32(src.data());
+  const uint32_t crc = DecodeFixed32(src.data() + 4);
+  if (src.size() - 8 < len) return Status::Corruption("torn record header");
+  *payload = Slice(src.data() + 8, len);
+  if (Crc32c(*payload) != crc) {
+    return Status::Corruption("record checksum mismatch");
   }
   return Status::OK();
 }
@@ -144,21 +195,16 @@ void LogRecord::EncodeTo(std::vector<uint8_t>* dst) const {
 }
 
 Status LogRecord::DecodeFrom(Slice* src, LogRecord* out) {
-  if (src->empty()) return Status::Corruption("empty record");
-  uint8_t type_byte = (*src)[0];
-  src->RemovePrefix(1);
-  if (type_byte < 1 ||
-      type_byte > static_cast<uint8_t>(RecordType::kIndexCheckpoint)) {
-    return Status::Corruption("bad record type");
-  }
-  out->type = static_cast<RecordType>(type_byte);
-  LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &out->lsn));
+  LOGLOG_RETURN_IF_ERROR(DecodeRecordHeader(src, &out->type, &out->lsn));
+  ResetForDecode(out->type, out);
   switch (out->type) {
     case RecordType::kOperation:
       LOGLOG_RETURN_IF_ERROR(OperationDesc::DecodeFrom(src, &out->op));
       // Remaining bytes are the transactional trailer (framing hands the
       // decoder exactly one payload, so presence is unambiguous).
-      if (!src->empty()) {
+      if (src->empty()) {
+        out->undo_images.clear();
+      } else {
         LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &out->txn_id));
         if (out->txn_id == 0) {
           return Status::Corruption("txn trailer with zero txn id");
@@ -190,7 +236,6 @@ Status LogRecord::DecodeFrom(Slice* src, LogRecord* out) {
       uint64_t n;
       LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &n));
       if (n > src->size()) return Status::Corruption("dot count too large");
-      out->dot.clear();
       out->dot.reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
         DotEntry e;
@@ -221,10 +266,9 @@ Status LogRecord::DecodeFrom(Slice* src, LogRecord* out) {
       if (n > src->size()) {
         return Status::Corruption("flush value count too large");
       }
-      out->flush_values.clear();
-      out->flush_values.reserve(n);
-      for (uint64_t i = 0; i < n; ++i) {
-        FlushValue fv;
+      // Decode in place: a reused record keeps each value buffer.
+      out->flush_values.resize(n);
+      for (FlushValue& fv : out->flush_values) {
         LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &fv.id));
         LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &fv.vsi));
         if (src->empty()) return Status::Corruption("truncated flush value");
@@ -232,8 +276,7 @@ Status LogRecord::DecodeFrom(Slice* src, LogRecord* out) {
         src->RemovePrefix(1);
         Slice value;
         LOGLOG_RETURN_IF_ERROR(GetLengthPrefixed(src, &value));
-        fv.value = value.ToBytes();
-        out->flush_values.push_back(std::move(fv));
+        fv.value.assign(value.data(), value.data() + value.size());
       }
       break;
     }
@@ -261,7 +304,6 @@ Status LogRecord::DecodeFrom(Slice* src, LogRecord* out) {
       if (n > src->size()) {
         return Status::Corruption("index entry count too large");
       }
-      out->index_entries.clear();
       out->index_entries.reserve(n);
       for (uint64_t i = 0; i < n; ++i) {
         IndexCheckpointEntry e;
@@ -423,23 +465,23 @@ void FrameRecord(const LogRecord& rec, std::vector<uint8_t>* dst) {
 }
 
 Status ReadFramedRecord(Slice* src, LogRecord* out) {
-  if (src->empty()) return Status::NotFound("end of log");
-  Slice probe = *src;
-  uint32_t len, crc;
-  if (!GetFixed32(&probe, &len).ok() || !GetFixed32(&probe, &crc).ok() ||
-      probe.size() < len) {
-    return Status::Corruption("torn record header");
-  }
-  Slice payload(probe.data(), len);
-  if (Crc32c(payload) != crc) {
-    return Status::Corruption("record checksum mismatch");
-  }
+  Slice payload;
+  LOGLOG_RETURN_IF_ERROR(CheckFrame(*src, &payload));
   Slice cursor = payload;
   LOGLOG_RETURN_IF_ERROR(LogRecord::DecodeFrom(&cursor, out));
   if (!cursor.empty()) {
     return Status::Corruption("trailing bytes in record payload");
   }
-  src->RemovePrefix(8 + len);
+  src->RemovePrefix(8 + payload.size());
+  return Status::OK();
+}
+
+Status ReadFrameHeader(Slice* src, RecordType* type, Lsn* lsn) {
+  Slice payload;
+  LOGLOG_RETURN_IF_ERROR(CheckFrame(*src, &payload));
+  const size_t framed_size = 8 + payload.size();
+  LOGLOG_RETURN_IF_ERROR(DecodeRecordHeader(&payload, type, lsn));
+  src->RemovePrefix(framed_size);
   return Status::OK();
 }
 

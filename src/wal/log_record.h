@@ -175,6 +175,12 @@ struct LogRecord {
   } policy;
 
   void EncodeTo(std::vector<uint8_t>* dst) const;
+  /// Decodes one payload into *out, which may be reused across calls:
+  /// fields the decoded type does not carry are reset and vectors keep
+  /// their capacity, so a walk that reuses one record stops allocating
+  /// once its buffers are warm. One exception: a record without undo
+  /// images (or flush values) frees the element buffers, so the next
+  /// record carrying them allocates again.
   static Status DecodeFrom(Slice* src, LogRecord* out);
 
   /// Encoded payload size (the record's logging cost, before framing).
@@ -216,7 +222,16 @@ void FrameRecord(const LogRecord& rec, std::vector<uint8_t>* dst);
 ///  - NotFound when src is empty (clean end of log);
 ///  - Corruption when bytes remain but do not form a whole valid record
 ///    (torn tail — recovery treats this as end of log).
+/// Decoding into a reused record reuses its buffers and resets every
+/// field the new record does not carry.
 Status ReadFramedRecord(Slice* src, LogRecord* out);
+
+/// Frame-only variant of ReadFramedRecord: checks the length and the
+/// CRC32C over the whole payload, then decodes just the type byte and
+/// the LSN, leaving the body undecoded. Same return contract; it accepts
+/// every frame ReadFramedRecord accepts, but also a checksummed frame
+/// whose body does not decode (recovery's full decode cuts that one).
+Status ReadFrameHeader(Slice* src, RecordType* type, Lsn* lsn);
 
 }  // namespace loglog
 

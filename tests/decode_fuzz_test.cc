@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/coding.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "domains/btree/btree_page.h"
 #include "ops/op_builder.h"
@@ -97,9 +98,21 @@ TEST_P(DecodeFuzzTest, RandomBytesNeverCrashDecoders) {
       (void)BtreePage::Deserialize(Slice(junk), &page);
     }
     {
+      // The frame-only walk accepts everything the full decoder accepts,
+      // with the same type, LSN and frame length.
       Slice s(junk);
       LogRecord rec;
-      (void)ReadFramedRecord(&s, &rec);
+      Status full = ReadFramedRecord(&s, &rec);
+      Slice h(junk);
+      RecordType type = RecordType::kOperation;
+      Lsn lsn = kInvalidLsn;
+      Status header = ReadFrameHeader(&h, &type, &lsn);
+      if (full.ok()) {
+        ASSERT_TRUE(header.ok());
+        EXPECT_EQ(type, rec.type);
+        EXPECT_EQ(lsn, rec.lsn);
+        EXPECT_EQ(h.size(), s.size());
+      }
     }
   }
 }
@@ -200,6 +213,42 @@ TEST(DecodeTxnTest, ZeroTxnIdPayloadsRejected) {
     EXPECT_TRUE(LogRecord::DecodeFrom(&s, &out).IsCorruption())
         << static_cast<int>(type);
   }
+}
+
+TEST(DecodeVarintTest, TenthByteAboveOneIsRejected) {
+  // Nine continuation bytes carry bits 0..62; the tenth may only hold bit
+  // 63. A larger tenth byte used to decode with its high bits dropped.
+  std::vector<uint8_t> max(9, 0xff);
+  max.push_back(0x01);
+  Slice ok(max);
+  uint64_t v = 0;
+  ASSERT_TRUE(GetVarint64(&ok, &v).ok());
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(ok.empty());
+  for (uint8_t last : {0x02, 0x7f, 0x81}) {
+    std::vector<uint8_t> bytes(9, 0xff);
+    bytes.push_back(last);
+    Slice s(bytes);
+    EXPECT_TRUE(GetVarint64(&s, &v).IsCorruption()) << int{last};
+  }
+  // Same bytes as a record LSN: both the full decoder and the frame-only
+  // header walk refuse the frame.
+  std::vector<uint8_t> payload;
+  payload.push_back(static_cast<uint8_t>(RecordType::kFlushTxnCommit));
+  payload.insert(payload.end(), 9, 0xff);
+  payload.push_back(0x02);
+  PutVarint64(&payload, /*ref_lsn=*/1);
+  std::vector<uint8_t> framed;
+  PutFixed32(&framed, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&framed, Crc32c(Slice(payload)));
+  framed.insert(framed.end(), payload.begin(), payload.end());
+  Slice full(framed);
+  LogRecord rec;
+  EXPECT_TRUE(ReadFramedRecord(&full, &rec).IsCorruption());
+  Slice header(framed);
+  RecordType type = RecordType::kOperation;
+  Lsn lsn = kInvalidLsn;
+  EXPECT_TRUE(ReadFrameHeader(&header, &type, &lsn).IsCorruption());
 }
 
 TEST(DecodeTxnTest, CorruptBackchainLsnIsRejectedByRollback) {

@@ -19,11 +19,11 @@ LogRecord OpRecord(Lsn lsn, OperationDesc op) {
   return rec;
 }
 
-// Every log consumer (LogManager's constructor, the recovery passes,
-// media recovery, ReadStable) now advances the same LogCursor, so their
-// next-LSN / valid-byte bookkeeping must agree by construction — these
-// tests pin that down, especially on torn tails where the hand-rolled
-// walks used to diverge.
+// Every log consumer (LogManager's constructor with its frame-only walk,
+// the recovery passes, media recovery, ReadStable) advances the same
+// LogCursor, so their next-LSN / valid-byte bookkeeping must agree by
+// construction — these tests pin that down, especially on torn tails
+// where the hand-rolled walks used to diverge.
 
 TEST(LogCursorTest, WalksCleanLog) {
   SimulatedDisk disk;
@@ -210,6 +210,82 @@ TEST(LogCursorTest, SliceCursorTracksAbsoluteOffsets) {
   EXPECT_FALSE(slice_cursor.Next(&b));
   EXPECT_EQ(dev_cursor.valid_end(), slice_cursor.valid_end());
   EXPECT_EQ(dev_cursor.next_lsn(), slice_cursor.next_lsn());
+}
+
+TEST(LogCursorTest, HeaderWalkAgreesWithFullDecode) {
+  SimulatedDisk disk;
+  {
+    LogManager log(&disk.log());
+    for (int i = 0; i < 5; ++i) {
+      log.Append(OpRecord(0, MakePhysicalWrite(1, "header-walk")));
+    }
+    ASSERT_TRUE(log.ForceAll().ok());
+  }
+  // Clean log and every tear size inside the last frame: the frame-only
+  // walk (LogManager's open) and the decoding walk (recovery) stop at the
+  // same offset with the same LSN bookkeeping.
+  const uint64_t full = disk.log().end_offset();
+  for (uint64_t tear = 0; tear < 12; tear += 3) {
+    SimulatedDisk copy;
+    ASSERT_TRUE(copy.log().Append(disk.log().Contents()).ok());
+    copy.log().TearTail(tear);
+    LogCursor decode(copy.log());
+    LogCursor header(copy.log());
+    LogRecord rec;
+    RecordType type = RecordType::kOperation;
+    Lsn lsn = kInvalidLsn;
+    while (decode.Next(&rec)) {
+      ASSERT_TRUE(header.NextHeader(&type, &lsn));
+      EXPECT_EQ(type, rec.type);
+      EXPECT_EQ(lsn, rec.lsn);
+      EXPECT_EQ(header.record_offset(), decode.record_offset());
+    }
+    EXPECT_FALSE(header.NextHeader(&type, &lsn));
+    EXPECT_EQ(header.torn(), decode.torn()) << "tear=" << tear;
+    EXPECT_EQ(header.torn(), tear > 0);
+    EXPECT_EQ(header.valid_end(), decode.valid_end());
+    EXPECT_EQ(header.next_lsn(), decode.next_lsn());
+    EXPECT_EQ(header.records_read(), decode.records_read());
+  }
+  EXPECT_EQ(full, disk.log().end_offset());
+}
+
+TEST(LogCursorTest, SeekedCursorStartsAtIndexedFrame) {
+  SimulatedDisk disk;
+  {
+    LogManager log(&disk.log());
+    for (int i = 0; i < 6; ++i) {
+      log.Append(OpRecord(0, MakePhysicalWrite(1, "seek")));
+      ASSERT_TRUE(log.ForceAll().ok());
+    }
+    log.TruncateBefore(2);
+  }
+  // The revived manager's frame-only index maps LSNs to frame starts; a
+  // device cursor opened there reads from that record on, with absolute
+  // offsets.
+  LogManager revived(&disk.log());
+  for (Lsn want = 2; want <= 6; ++want) {
+    uint64_t offset = 0;
+    ASSERT_TRUE(revived.FirstStableOffsetAtOrAfter(want, &offset));
+    LogCursor cursor(disk.log(), offset);
+    LogRecord rec;
+    ASSERT_TRUE(cursor.Next(&rec));
+    EXPECT_EQ(rec.lsn, want);
+    EXPECT_EQ(cursor.record_offset(), offset);
+    uint64_t records = 1;
+    while (cursor.Next(&rec)) ++records;
+    EXPECT_EQ(records, 7 - want);
+    EXPECT_EQ(cursor.valid_end(), disk.log().end_offset());
+  }
+  // Below the retained log: the first retained record. Past it: none.
+  uint64_t offset = 0;
+  ASSERT_TRUE(revived.FirstStableOffsetAtOrAfter(1, &offset));
+  EXPECT_EQ(offset, disk.log().start_offset());
+  EXPECT_FALSE(revived.FirstStableOffsetAtOrAfter(7, &offset));
+  LogCursor at_end(disk.log(), disk.log().end_offset());
+  LogRecord rec;
+  EXPECT_FALSE(at_end.Next(&rec));
+  EXPECT_FALSE(at_end.torn());
 }
 
 // --- Tail-follow semantics -------------------------------------------

@@ -3,11 +3,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "ops/op_builder.h"
 #include "storage/simulated_disk.h"
+#include "wal/log_cursor.h"
 #include "wal/log_manager.h"
 #include "wal/log_record.h"
 
@@ -288,6 +290,67 @@ TEST(WalHotPathTest, ReserveFillDoesNotAllocatePerRecord) {
 
   ASSERT_TRUE(log.ForceAll().ok());
   EXPECT_EQ(log.last_stable_lsn(), log.last_assigned_lsn());
+}
+
+// The read side of the same budget: every LogCursor loop decodes into
+// one reused LogRecord, which keeps its buffers, so a warm walk does not
+// allocate per record; neither does the frame-only walk LogManager opens
+// with. A run of in-transaction ops reuses its before-image buffer; the
+// record ahead of the run (which carries no images) frees it once.
+TEST(WalHotPathTest, ReusedRecordDecodeDoesNotAllocatePerRecord) {
+  SimulatedDisk disk;
+  {
+    LogManager log(&disk.log());
+    const std::vector<UndoImage> no_images;
+    for (int i = 0; i < 64; ++i) {
+      log.AppendOperation(
+          MakePhysicalWrite(1 + i % 8, std::string(8 + i % 24, 'p')), 0,
+          kInvalidLsn, no_images);
+      log.AppendOperation(MakeAppRead(100 + i % 4, 1 + i % 8), 0,
+                          kInvalidLsn, no_images);
+      LogRecord install;
+      install.type = RecordType::kInstall;
+      install.installed_vars = {{1 + static_cast<ObjectId>(i % 8), 0}};
+      install.installed_notx = {{100, static_cast<Lsn>(i + 1)}};
+      log.Append(install);
+    }
+    Lsn prev = log.AppendTxnMarker(RecordType::kTxnBegin, 9, kInvalidLsn);
+    for (int i = 0; i < 64; ++i) {
+      std::vector<UndoImage> image(1);
+      image[0].exists = true;
+      image[0].value.assign(12, static_cast<char>('a' + i % 26));
+      prev = log.AppendOperation(MakePhysicalWrite(7, "txn-write"), 9, prev,
+                                 image);
+    }
+    log.AppendTxnMarker(RecordType::kTxnCommit, 9, prev);
+    ASSERT_TRUE(log.ForceAll().ok());
+  }
+
+  LogRecord rec;
+  auto walk = [&] {
+    LogCursor cursor(disk.log());
+    uint64_t n = 0;
+    while (cursor.Next(&rec)) ++n;
+    EXPECT_TRUE(cursor.status().ok());
+    return n;
+  };
+  const uint64_t records = walk();  // warms rec's buffers
+  ASSERT_EQ(records, 64u * 3 + 66);
+  uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(walk(), records);
+  // At most the one image buffer plus the end-of-log status.
+  EXPECT_LE(g_heap_allocs.load(std::memory_order_relaxed) - before, 3u)
+      << "decode walk allocates per record";
+
+  before = g_heap_allocs.load(std::memory_order_relaxed);
+  LogCursor frames(disk.log());
+  RecordType type = RecordType::kOperation;
+  Lsn lsn = kInvalidLsn;
+  uint64_t headers = 0;
+  while (frames.NextHeader(&type, &lsn)) ++headers;
+  EXPECT_EQ(headers, records);
+  EXPECT_LE(g_heap_allocs.load(std::memory_order_relaxed) - before, 2u)
+      << "frame-only walk allocates per record";
 }
 
 // Reservations fill out of order; forces wait for the contiguous

@@ -255,10 +255,7 @@ Status CacheManager::InjectIdentityWrite(ObjectId id) {
   // like an identity value write would.
   OperationDesc op = obj->exists ? MakeIdentityWrite(id, Slice(obj->value))
                                  : MakeDelete(id);
-  LogRecord rec;
-  rec.type = RecordType::kOperation;
-  rec.op = op;
-  Lsn lsn = log_->Append(std::move(rec));
+  Lsn lsn = log_->AppendOperation(op, 0, kInvalidLsn, {});
   ++stats_.identity_writes;
   stats_.identity_bytes_logged += obj->value.size();
   metrics_.identity_writes->Inc();
@@ -483,11 +480,11 @@ Status CacheManager::InstallNode(NodeId v) {
           ++stats_.flush_txn_values_logged;
           begin.flush_values.push_back(std::move(fv));
         }
-        Lsn begin_lsn = log_->Append(std::move(begin));
+        Lsn begin_lsn = log_->Append(begin);
         LogRecord commit;
         commit.type = RecordType::kFlushTxnCommit;
         commit.ref_lsn = begin_lsn;
-        Lsn commit_lsn = log_->Append(std::move(commit));
+        Lsn commit_lsn = log_->Append(commit);
         LOGLOG_RETURN_IF_ERROR(log_->Force(commit_lsn));
         LOGLOG_RETURN_IF_ERROR(
             disk_->fault_injector().MaybeFail(fault::kCmAfterFlushTxnCommit));
@@ -566,7 +563,7 @@ Status CacheManager::InstallNode(NodeId v) {
   }
   if (log_installs_) {
     // Lazily logged: not forced. Losing it merely costs extra redos.
-    log_->Append(std::move(install));
+    log_->Append(install);
   }
   return Status::OK();
 }
@@ -642,7 +639,7 @@ Status CacheManager::PublishCurrentImage(ObjectId id, CachedObject* obj) {
     LogRecord install;
     install.type = RecordType::kInstall;
     install.installed_vars.push_back(InstallEntry{id, kInvalidLsn});
-    log_->Append(std::move(install));
+    log_->Append(install);
   }
   return Status::OK();
 }
@@ -653,10 +650,7 @@ Status CacheManager::RelogAndPublish(ObjectId id, CachedObject* obj) {
   // installation (the publish below) is immediate.
   OperationDesc op = obj->exists ? MakeIdentityWrite(id, Slice(obj->value))
                                  : MakeDelete(id);
-  LogRecord rec;
-  rec.type = RecordType::kOperation;
-  rec.op = std::move(op);
-  Lsn lsn = log_->Append(std::move(rec));
+  Lsn lsn = log_->AppendOperation(op, 0, kInvalidLsn, {});
   ++stats_.identity_writes;
   stats_.identity_bytes_logged += obj->value.size();
   metrics_.identity_writes->Inc();
@@ -714,11 +708,8 @@ Status CacheManager::CompactLogStore(size_t batch, uint64_t* images_moved,
       index_.Erase(e.id);
       continue;
     }
-    OperationDesc op = MakeIdentityWrite(e.id, Slice(obj->value));
-    LogRecord rec;
-    rec.type = RecordType::kOperation;
-    rec.op = std::move(op);
-    Lsn lsn = log_->Append(std::move(rec));
+    Lsn lsn = log_->AppendOperation(MakeIdentityWrite(e.id, Slice(obj->value)),
+                                    0, kInvalidLsn, {});
     ++stats_.identity_writes;
     stats_.identity_bytes_logged += obj->value.size();
     metrics_.identity_writes->Inc();
@@ -747,7 +738,7 @@ Status CacheManager::CompactLogStore(size_t batch, uint64_t* images_moved,
   if (log_installs_) {
     // One lazy install record marks the whole batch for recovery's index
     // rebuild (see PublishCurrentImage).
-    log_->Append(std::move(install));
+    log_->Append(install);
   }
   if (images_moved != nullptr) *images_moved = moved.size();
   if (bytes_moved != nullptr) *bytes_moved = old_bytes;
@@ -931,7 +922,7 @@ Status CacheManager::Checkpoint(Lsn truncate_floor, uint64_t txn_watermark) {
     LogRecord idx;
     idx.type = RecordType::kIndexCheckpoint;
     idx.index_entries = index_.Snapshot();
-    idx_lsn = log_->Append(std::move(idx));
+    idx_lsn = log_->Append(idx);
     metrics_.logstore_index_ckpts->Inc();
   }
   LogRecord rec;
@@ -942,7 +933,7 @@ Status CacheManager::Checkpoint(Lsn truncate_floor, uint64_t txn_watermark) {
   for (const DotEntry& e : rec.dot) {
     if (e.rsi != kInvalidLsn) min_rsi = std::min(min_rsi, e.rsi);
   }
-  Lsn ckpt_lsn = log_->Append(std::move(rec));
+  Lsn ckpt_lsn = log_->Append(rec);
   LOGLOG_RETURN_IF_ERROR(log_->Force(ckpt_lsn));
   FlightRecorder::Global().Record(FlightEventType::kCheckpoint, ckpt_lsn);
   // Everything before min(first rSI, the checkpoint itself) is installed

@@ -68,13 +68,54 @@ size_t VarintLength(uint64_t v);
 void EncodeFixed32(uint8_t* buf, uint32_t v);
 void EncodeFixed64(uint8_t* buf, uint64_t v);
 
-/// Raw-buffer varint / length-prefixed encoders for the zero-copy WAL
-/// append path: the caller reserves an exactly-sized span (via
-/// VarintLength et al.) and these fill it, returning the advanced cursor.
+/// Raw-buffer varint / length-prefixed encoders: fill a span the caller
+/// has sized exactly, returning the advanced cursor.
 uint8_t* EncodeVarint64(uint8_t* dst, uint64_t v);
 uint8_t* EncodeLengthPrefixed(uint8_t* dst, Slice value);
 uint32_t DecodeFixed32(const uint8_t* buf);
 uint64_t DecodeFixed64(const uint8_t* buf);
+
+/// Byte sinks for the log-record writers. Each record format has one
+/// writer, a template over its sink: run against a SizeSink it yields
+/// the exact encoded size, against a BufferSink it writes the bytes into
+/// a span of that size — so a size and its bytes cannot disagree.
+class SizeSink {
+ public:
+  void Byte(uint8_t) { ++size_; }
+  void Varint(uint64_t v) { size_ += VarintLength(v); }
+  void LengthPrefixed(Slice value) {
+    size_ += VarintLength(value.size()) + value.size();
+  }
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
+};
+
+class BufferSink {
+ public:
+  explicit BufferSink(uint8_t* dst) : pos_(dst) {}
+  void Byte(uint8_t b) { *pos_++ = b; }
+  void Varint(uint64_t v) { pos_ = EncodeVarint64(pos_, v); }
+  void LengthPrefixed(Slice value) { pos_ = EncodeLengthPrefixed(pos_, value); }
+  /// One past the last byte written.
+  uint8_t* pos() const { return pos_; }
+
+ private:
+  uint8_t* pos_;
+};
+
+/// Appends what `write` (a callable taking either sink) emits to *dst:
+/// one sizing pass, one resize, one fill.
+template <typename Write>
+void AppendWritten(std::vector<uint8_t>* dst, const Write& write) {
+  SizeSink size;
+  write(size);
+  const size_t at = dst->size();
+  dst->resize(at + size.size());
+  BufferSink out(dst->data() + at);
+  write(out);
+}
 
 }  // namespace loglog
 

@@ -331,7 +331,7 @@ void RecoveryEngine::AppendPolicyDecision(const PolicyDecision& d) {
   rec.policy.ewma_size = d.ewma_size;
   ++stats_.policy_decisions;
   stats_.policy_log_bytes += rec.EncodedSize();
-  log_->Append(std::move(rec));
+  log_->Append(rec);
 }
 
 Status RecoveryEngine::MaybeMaintain() {

@@ -24,36 +24,13 @@ std::vector<ObjectId> OperationDesc::NotExposed() const {
 }
 
 size_t OperationDesc::EncodedSize() const {
-  // Computed arithmetically (no scratch encode): the reserve+fill append
-  // path sizes its reservation with this, so it must match EncodeTo
-  // byte-for-byte (asserted by ops_test).
-  size_t size = 1 + VarintLength(func);
-  size += VarintLength(writes.size());
-  for (ObjectId id : writes) size += VarintLength(id);
-  size += VarintLength(reads.size());
-  for (ObjectId id : reads) size += VarintLength(id);
-  size += VarintLength(params.size()) + params.size();
-  return size;
+  SizeSink size;
+  WriteTo(size);
+  return size.size();
 }
 
 void OperationDesc::EncodeTo(std::vector<uint8_t>* dst) const {
-  dst->push_back(static_cast<uint8_t>(op_class));
-  PutVarint32(dst, func);
-  PutVarint64(dst, writes.size());
-  for (ObjectId id : writes) PutVarint64(dst, id);
-  PutVarint64(dst, reads.size());
-  for (ObjectId id : reads) PutVarint64(dst, id);
-  PutLengthPrefixed(dst, Slice(params));
-}
-
-uint8_t* OperationDesc::EncodeToBuf(uint8_t* dst) const {
-  *dst++ = static_cast<uint8_t>(op_class);
-  dst = EncodeVarint64(dst, func);
-  dst = EncodeVarint64(dst, writes.size());
-  for (ObjectId id : writes) dst = EncodeVarint64(dst, id);
-  dst = EncodeVarint64(dst, reads.size());
-  for (ObjectId id : reads) dst = EncodeVarint64(dst, id);
-  return EncodeLengthPrefixed(dst, Slice(params));
+  AppendWritten(dst, [this](auto& s) { WriteTo(s); });
 }
 
 Status OperationDesc::DecodeFrom(Slice* src, OperationDesc* out) {

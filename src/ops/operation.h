@@ -82,15 +82,23 @@ struct OperationDesc {
     return std::find(writes.begin(), writes.end(), id) != writes.end();
   }
 
-  /// Serialized size in bytes == the logging cost of this operation.
-  /// Exact (arithmetic, no scratch encode), so the zero-copy append path
-  /// can reserve precisely this many bytes and fill with EncodeToBuf.
-  size_t EncodedSize() const;
+  /// The one writer of the operation format, over a byte sink
+  /// (common/coding.h's SizeSink or BufferSink).
+  template <typename Sink>
+  void WriteTo(Sink& s) const {
+    s.Byte(static_cast<uint8_t>(op_class));
+    s.Varint(func);
+    s.Varint(writes.size());
+    for (ObjectId id : writes) s.Varint(id);
+    s.Varint(reads.size());
+    for (ObjectId id : reads) s.Varint(id);
+    s.LengthPrefixed(Slice(params));
+  }
 
+  /// Serialized size in bytes == the logging cost of this operation.
+  size_t EncodedSize() const;
+  /// Appends the encoded operation to *dst.
   void EncodeTo(std::vector<uint8_t>* dst) const;
-  /// Encodes into a raw buffer of at least EncodedSize() bytes; returns
-  /// the advanced cursor. Byte-identical to EncodeTo.
-  uint8_t* EncodeToBuf(uint8_t* dst) const;
   static Status DecodeFrom(Slice* src, OperationDesc* out);
 
   /// Validates structural invariants (non-empty distinct writeset, ...).

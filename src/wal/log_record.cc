@@ -8,15 +8,6 @@ namespace loglog {
 
 namespace {
 
-void PutInstallEntries(std::vector<uint8_t>* dst,
-                       const std::vector<InstallEntry>& entries) {
-  PutVarint64(dst, entries.size());
-  for (const InstallEntry& e : entries) {
-    PutVarint64(dst, e.id);
-    PutVarint64(dst, e.rsi);
-  }
-}
-
 Status GetInstallEntries(Slice* src, std::vector<InstallEntry>* out) {
   uint64_t n;
   LOGLOG_RETURN_IF_ERROR(GetVarint64(src, &n));
@@ -32,15 +23,6 @@ Status GetInstallEntries(Slice* src, std::vector<InstallEntry>* out) {
     out->push_back(e);
   }
   return Status::OK();
-}
-
-void PutUndoImages(std::vector<uint8_t>* dst,
-                   const std::vector<UndoImage>& images) {
-  PutVarint64(dst, images.size());
-  for (const UndoImage& img : images) {
-    dst->push_back(img.exists ? 1 : 0);
-    PutLengthPrefixed(dst, Slice(img.value));
-  }
 }
 
 Status GetUndoImages(Slice* src, std::vector<UndoImage>* out) {
@@ -117,81 +99,7 @@ Status CheckFrame(Slice src, Slice* payload) {
 }  // namespace
 
 void LogRecord::EncodeTo(std::vector<uint8_t>* dst) const {
-  dst->push_back(static_cast<uint8_t>(type));
-  PutVarint64(dst, lsn);
-  switch (type) {
-    case RecordType::kOperation:
-      op.EncodeTo(dst);
-      // The transactional trailer exists only inside a transaction, so
-      // non-transactional operation records stay byte-identical to the
-      // pre-transaction format (old logs decode unchanged).
-      if (txn_id != 0) {
-        PutVarint64(dst, txn_id);
-        PutVarint64(dst, prev_lsn);
-        PutUndoImages(dst, undo_images);
-      }
-      break;
-    case RecordType::kTxnBegin:
-    case RecordType::kTxnCommit:
-    case RecordType::kTxnAbort:
-      PutVarint64(dst, txn_id);
-      PutVarint64(dst, prev_lsn);
-      break;
-    case RecordType::kCompensation:
-      PutVarint64(dst, txn_id);
-      PutVarint64(dst, prev_lsn);
-      PutVarint64(dst, undo_next_lsn);
-      PutVarint64(dst, undo_skip);
-      op.EncodeTo(dst);
-      break;
-    case RecordType::kCheckpoint:
-      PutVarint64(dst, dot.size());
-      for (const DotEntry& e : dot) {
-        PutVarint64(dst, e.id);
-        PutVarint64(dst, e.rsi);
-        dst->push_back(e.dead ? 1 : 0);
-      }
-      // Txn-id high-water mark (master-record style): truncation discards
-      // the txn records that analysis would otherwise derive it from, so
-      // the checkpoint must carry it or a post-truncation crash would
-      // re-issue ids of completed transactions. Trailing and omitted when
-      // zero, so pre-transaction checkpoints stay byte-identical.
-      if (txn_id != 0) PutVarint64(dst, txn_id);
-      break;
-    case RecordType::kInstall:
-      PutInstallEntries(dst, installed_vars);
-      PutInstallEntries(dst, installed_notx);
-      break;
-    case RecordType::kFlushTxnBegin:
-      PutVarint64(dst, flush_values.size());
-      for (const FlushValue& fv : flush_values) {
-        PutVarint64(dst, fv.id);
-        PutVarint64(dst, fv.vsi);
-        dst->push_back(fv.erase ? 1 : 0);
-        PutLengthPrefixed(dst, Slice(fv.value));
-      }
-      break;
-    case RecordType::kFlushTxnCommit:
-      PutVarint64(dst, ref_lsn);
-      break;
-    case RecordType::kPolicyDecision:
-      PutVarint64(dst, policy.object);
-      dst->push_back(policy.new_class);
-      dst->push_back(policy.prev_class);
-      dst->push_back(policy.reason);
-      PutVarint64(dst, policy.chain_depth);
-      PutVarint64(dst, policy.ewma_size);
-      break;
-    case RecordType::kIndexCheckpoint:
-      PutVarint64(dst, index_entries.size());
-      for (const IndexCheckpointEntry& e : index_entries) {
-        PutVarint64(dst, e.id);
-        PutVarint64(dst, e.lsn);
-        PutVarint64(dst, e.offset);
-        PutVarint64(dst, e.size);
-      }
-      break;
-  }
+  AppendWritten(dst, [this](auto& s) { WritePayload(s); });
 }
 
 Status LogRecord::DecodeFrom(Slice* src, LogRecord* out) {
@@ -320,80 +228,9 @@ Status LogRecord::DecodeFrom(Slice* src, LogRecord* out) {
 }
 
 size_t LogRecord::EncodedSize() const {
-  std::vector<uint8_t> buf;
-  EncodeTo(&buf);
-  return buf.size();
-}
-
-namespace {
-
-size_t UndoImagesSize(const std::vector<UndoImage>& images) {
-  size_t size = VarintLength(images.size());
-  for (const UndoImage& img : images) {
-    size += 1 + VarintLength(img.value.size()) + img.value.size();
-  }
-  return size;
-}
-
-uint8_t* EncodeUndoImages(uint8_t* dst, const std::vector<UndoImage>& images) {
-  dst = EncodeVarint64(dst, images.size());
-  for (const UndoImage& img : images) {
-    *dst++ = img.exists ? 1 : 0;
-    dst = EncodeLengthPrefixed(dst, Slice(img.value));
-  }
-  return dst;
-}
-
-}  // namespace
-
-size_t EncodedOperationBodySize(const OperationDesc& op, uint64_t txn_id,
-                                Lsn prev_lsn,
-                                const std::vector<UndoImage>& undo_images) {
-  size_t size = op.EncodedSize();
-  if (txn_id != 0) {
-    size += VarintLength(txn_id) + VarintLength(prev_lsn) +
-            UndoImagesSize(undo_images);
-  }
-  return size;
-}
-
-uint8_t* EncodeOperationBody(uint8_t* dst, const OperationDesc& op,
-                             uint64_t txn_id, Lsn prev_lsn,
-                             const std::vector<UndoImage>& undo_images) {
-  dst = op.EncodeToBuf(dst);
-  if (txn_id != 0) {
-    dst = EncodeVarint64(dst, txn_id);
-    dst = EncodeVarint64(dst, prev_lsn);
-    dst = EncodeUndoImages(dst, undo_images);
-  }
-  return dst;
-}
-
-size_t EncodedTxnMarkerBodySize(uint64_t txn_id, Lsn prev_lsn) {
-  return VarintLength(txn_id) + VarintLength(prev_lsn);
-}
-
-uint8_t* EncodeTxnMarkerBody(uint8_t* dst, uint64_t txn_id, Lsn prev_lsn) {
-  dst = EncodeVarint64(dst, txn_id);
-  return EncodeVarint64(dst, prev_lsn);
-}
-
-size_t EncodedCompensationBodySize(const OperationDesc& op, uint64_t txn_id,
-                                   Lsn prev_lsn, Lsn undo_next_lsn,
-                                   uint64_t undo_skip) {
-  return VarintLength(txn_id) + VarintLength(prev_lsn) +
-         VarintLength(undo_next_lsn) + VarintLength(undo_skip) +
-         op.EncodedSize();
-}
-
-uint8_t* EncodeCompensationBody(uint8_t* dst, const OperationDesc& op,
-                                uint64_t txn_id, Lsn prev_lsn,
-                                Lsn undo_next_lsn, uint64_t undo_skip) {
-  dst = EncodeVarint64(dst, txn_id);
-  dst = EncodeVarint64(dst, prev_lsn);
-  dst = EncodeVarint64(dst, undo_next_lsn);
-  dst = EncodeVarint64(dst, undo_skip);
-  return op.EncodeToBuf(dst);
+  SizeSink size;
+  WritePayload(size);
+  return size.size();
 }
 
 std::string LogRecord::DebugString() const {
@@ -457,11 +294,14 @@ std::string LogRecord::DebugString() const {
 }
 
 void FrameRecord(const LogRecord& rec, std::vector<uint8_t>* dst) {
-  std::vector<uint8_t> payload;
-  rec.EncodeTo(&payload);
-  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
-  PutFixed32(dst, Crc32c(Slice(payload)));
-  dst->insert(dst->end(), payload.begin(), payload.end());
+  const size_t payload_size = rec.EncodedSize();
+  const size_t at = dst->size();
+  dst->resize(at + 8 + payload_size);
+  uint8_t* frame = dst->data() + at;
+  BufferSink payload(frame + 8);
+  rec.WritePayload(payload);
+  EncodeFixed32(frame, static_cast<uint32_t>(payload_size));
+  EncodeFixed32(frame + 4, Crc32c(Slice(frame + 8, payload_size)));
 }
 
 Status ReadFramedRecord(Slice* src, LogRecord* out) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "common/coding.h"
@@ -48,20 +49,23 @@ TEST(TxnTest, CommitIsDurableAcrossCrash) {
 TEST(TxnTest, RollbackCompensatesEveryEffect) {
   CrashHarness h{EngineOptions{}};
   ASSERT_TRUE(h.Execute(MakeCreate(1, "base")).ok());
-  TxnManager tm(&h.engine());
-  TxnId id;
-  ASSERT_TRUE(tm.Begin(&id).ok());
-  ASSERT_TRUE(tm.Execute(id, MakePhysicalWrite(1, "dirty")).ok());
-  ASSERT_TRUE(tm.Execute(id, MakeCreate(2, "temp")).ok());
-  ASSERT_TRUE(tm.Rollback(id).ok());
+  {
+    // Scoped: a TxnManager must not outlive the engine h.Crash() drops.
+    TxnManager tm(&h.engine());
+    TxnId id;
+    ASSERT_TRUE(tm.Begin(&id).ok());
+    ASSERT_TRUE(tm.Execute(id, MakePhysicalWrite(1, "dirty")).ok());
+    ASSERT_TRUE(tm.Execute(id, MakeCreate(2, "temp")).ok());
+    ASSERT_TRUE(tm.Rollback(id).ok());
 
-  EXPECT_EQ(ReadString(&h.engine(), 1), "base");
-  EXPECT_FALSE(h.engine().Exists(2));
-  // The overwrite restores a before-image; the create is undone by its
-  // structural logical inverse (delete).
-  EXPECT_GE(tm.undo_stats().image_restores, 1u);
-  EXPECT_GE(tm.undo_stats().logical_inverses, 1u);
-  EXPECT_EQ(tm.undo_stats().clrs_logged, 2u);
+    EXPECT_EQ(ReadString(&h.engine(), 1), "base");
+    EXPECT_FALSE(h.engine().Exists(2));
+    // The overwrite restores a before-image; the create is undone by its
+    // structural logical inverse (delete).
+    EXPECT_GE(tm.undo_stats().image_restores, 1u);
+    EXPECT_GE(tm.undo_stats().logical_inverses, 1u);
+    EXPECT_EQ(tm.undo_stats().clrs_logged, 2u);
+  }
 
   // Compensation is ordinary logged history: redo repeats it verbatim.
   ASSERT_TRUE(h.engine().log().ForceAll().ok());
@@ -103,17 +107,18 @@ TEST(TxnTest, RollbackCrashSweepResumesAtEveryDepth) {
     CrashHarness h{EngineOptions{}};
     ASSERT_TRUE(h.Execute(MakeCreate(1, "one")).ok());
     ASSERT_TRUE(h.Execute(MakeCreate(2, "two")).ok());
-    TxnManager tm(&h.engine());
+    // Reset before h.Crash(): it must not outlive the engine.
+    std::optional<TxnManager> tm(std::in_place, &h.engine());
     TxnId id;
-    ASSERT_TRUE(tm.Begin(&id).ok());
-    ASSERT_TRUE(tm.Execute(id, MakePhysicalWrite(1, "d1")).ok());
-    ASSERT_TRUE(tm.Execute(id, MakePhysicalWrite(2, "d2")).ok());
-    ASSERT_TRUE(tm.Execute(id, MakeCreate(3, "d3")).ok());
+    ASSERT_TRUE(tm->Begin(&id).ok());
+    ASSERT_TRUE(tm->Execute(id, MakePhysicalWrite(1, "d1")).ok());
+    ASSERT_TRUE(tm->Execute(id, MakePhysicalWrite(2, "d2")).ok());
+    ASSERT_TRUE(tm->Execute(id, MakeCreate(3, "d3")).ok());
     ASSERT_TRUE(h.engine().log().ForceAll().ok());
 
     FaultInjector& inj = h.disk().fault_injector();
     inj.Arm(fault::kTxnRollbackCrash, FaultSpec::CrashOnHit(depth));
-    Status st = tm.Rollback(id);
+    Status st = tm->Rollback(id);
     inj.DisarmAll();
     if (st.ok()) {
       // Depth beyond the CLR count: the rollback ran to completion.
@@ -123,13 +128,15 @@ TEST(TxnTest, RollbackCrashSweepResumesAtEveryDepth) {
       // Whatever CLRs made it out become stable — recovery must resume
       // after them, not redo them.
       ASSERT_TRUE(h.engine().log().ForceAll().ok());
+      const uint64_t runtime_clrs = tm->undo_stats().clrs_logged;
+      tm.reset();
       h.Crash();
       RecoveryStats rs;
       ASSERT_TRUE(h.Recover(&rs).ok());
       EXPECT_EQ(rs.loser_txns, 1u);
       // Runtime CLRs + loser CLRs together cover each of the three
       // forward operations exactly once.
-      EXPECT_EQ(tm.undo_stats().clrs_logged + rs.loser_clrs, 3u);
+      EXPECT_EQ(runtime_clrs + rs.loser_clrs, 3u);
     }
     EXPECT_EQ(ReadString(&h.engine(), 1), "one");
     EXPECT_EQ(ReadString(&h.engine(), 2), "two");
@@ -172,17 +179,20 @@ TEST(TxnTest, TornCommitDecidedByTheStableRecord) {
     SCOPED_TRACE(record_survives);
     CrashHarness h{EngineOptions{}};
     ASSERT_TRUE(h.Execute(MakeCreate(1, "base")).ok());
-    TxnManager tm(&h.engine());
-    TxnId id;
-    ASSERT_TRUE(tm.Begin(&id).ok());
-    ASSERT_TRUE(tm.Execute(id, MakePhysicalWrite(1, "dirty")).ok());
-    ASSERT_TRUE(h.engine().log().ForceAll().ok());
+    {
+      // Scoped: a TxnManager must not outlive the engine h.Crash() drops.
+      TxnManager tm(&h.engine());
+      TxnId id;
+      ASSERT_TRUE(tm.Begin(&id).ok());
+      ASSERT_TRUE(tm.Execute(id, MakePhysicalWrite(1, "dirty")).ok());
+      ASSERT_TRUE(h.engine().log().ForceAll().ok());
 
-    FaultInjector& inj = h.disk().fault_injector();
-    inj.Arm(fault::kTxnCommitTorn, FaultSpec::CrashOnHit(1));
-    Status st = tm.Commit(id);
-    inj.DisarmAll();
-    ASSERT_TRUE(st.IsAborted()) << st.ToString();
+      FaultInjector& inj = h.disk().fault_injector();
+      inj.Arm(fault::kTxnCommitTorn, FaultSpec::CrashOnHit(1));
+      Status st = tm.Commit(id);
+      inj.DisarmAll();
+      ASSERT_TRUE(st.IsAborted()) << st.ToString();
+    }
     if (record_survives) {
       ASSERT_TRUE(h.engine().log().ForceAll().ok());
     }
@@ -203,19 +213,22 @@ TEST(TxnTest, TornCommitDecidedByTheStableRecord) {
 TEST(TxnTest, CheckpointTruncationKeepsLoserBackchain) {
   CrashHarness h{EngineOptions{}};
   ASSERT_TRUE(h.Execute(MakeCreate(1, "base")).ok());
-  TxnManager tm(&h.engine());
-  TxnId id;
-  ASSERT_TRUE(tm.Begin(&id).ok());
-  ASSERT_TRUE(tm.Execute(id, MakePhysicalWrite(1, "dirty")).ok());
-  EXPECT_NE(tm.OldestActiveBeginLsn(), kMaxLsn);
-  // The checkpoint truncates the log but clamps at the open
-  // transaction's begin record; the backchain survives for the loser
-  // pass below.
-  ASSERT_TRUE(h.engine().Checkpoint().ok());
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(h.Execute(MakeCreate(1000 + i, "filler")).ok());
+  {
+    // Scoped: a TxnManager must not outlive the engine h.Crash() drops.
+    TxnManager tm(&h.engine());
+    TxnId id;
+    ASSERT_TRUE(tm.Begin(&id).ok());
+    ASSERT_TRUE(tm.Execute(id, MakePhysicalWrite(1, "dirty")).ok());
+    EXPECT_NE(tm.OldestActiveBeginLsn(), kMaxLsn);
+    // The checkpoint truncates the log but clamps at the open
+    // transaction's begin record; the backchain survives for the loser
+    // pass below.
+    ASSERT_TRUE(h.engine().Checkpoint().ok());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(h.Execute(MakeCreate(1000 + i, "filler")).ok());
+    }
+    ASSERT_TRUE(h.engine().log().ForceAll().ok());
   }
-  ASSERT_TRUE(h.engine().log().ForceAll().ok());
   h.Crash();
   RecoveryStats rs;
   ASSERT_TRUE(h.Recover(&rs).ok());
@@ -272,14 +285,17 @@ TEST(TxnTest, QueueEnqueueRollsBackByRetreat) {
   bump.func = kFuncQueueAdvanceTail;
   bump.writes = {meta};
   bump.reads = {meta};
-  TxnManager tm(&h.engine());
-  TxnId id;
-  ASSERT_TRUE(tm.Begin(&id).ok());
-  ASSERT_TRUE(tm.Execute(id, MakeCreate(msg, "m1")).ok());
-  ASSERT_TRUE(tm.Execute(id, bump).ok());
-  ASSERT_TRUE(tm.Rollback(id).ok());
-  EXPECT_EQ(tm.undo_stats().logical_inverses, 2u);
-  EXPECT_EQ(tm.undo_stats().image_restores, 0u);
+  {
+    // Scoped: a TxnManager must not outlive the engine h.Crash() drops.
+    TxnManager tm(&h.engine());
+    TxnId id;
+    ASSERT_TRUE(tm.Begin(&id).ok());
+    ASSERT_TRUE(tm.Execute(id, MakeCreate(msg, "m1")).ok());
+    ASSERT_TRUE(tm.Execute(id, bump).ok());
+    ASSERT_TRUE(tm.Rollback(id).ok());
+    EXPECT_EQ(tm.undo_stats().logical_inverses, 2u);
+    EXPECT_EQ(tm.undo_stats().image_restores, 0u);
+  }
 
   ASSERT_TRUE(h.engine().log().ForceAll().ok());
   h.Crash();
@@ -319,14 +335,17 @@ TEST(TxnTest, BtreeInsertRollsBackByErase) {
   PutVarint64(&replace.params, 7);
   PutLengthPrefixed(&replace.params, Slice("SEVEN"));
 
-  TxnManager tm(&h.engine());
-  TxnId id;
-  ASSERT_TRUE(tm.Begin(&id).ok());
-  ASSERT_TRUE(tm.Execute(id, insert).ok());
-  ASSERT_TRUE(tm.Execute(id, replace).ok());
-  ASSERT_TRUE(tm.Rollback(id).ok());
-  EXPECT_EQ(tm.undo_stats().logical_inverses, 1u);
-  EXPECT_EQ(tm.undo_stats().image_restores, 1u);
+  {
+    // Scoped: a TxnManager must not outlive the engine h.Crash() drops.
+    TxnManager tm(&h.engine());
+    TxnId id;
+    ASSERT_TRUE(tm.Begin(&id).ok());
+    ASSERT_TRUE(tm.Execute(id, insert).ok());
+    ASSERT_TRUE(tm.Execute(id, replace).ok());
+    ASSERT_TRUE(tm.Rollback(id).ok());
+    EXPECT_EQ(tm.undo_stats().logical_inverses, 1u);
+    EXPECT_EQ(tm.undo_stats().image_restores, 1u);
+  }
 
   ASSERT_TRUE(h.engine().log().ForceAll().ok());
   h.Crash();

@@ -39,6 +39,10 @@ inline constexpr std::string_view kWalAppendBytes = "wal.append.bytes";
 /// state on the reserve+fill path is zero per record, which
 /// wal_hot_path_test asserts.
 inline constexpr std::string_view kWalAppendAllocs = "wal.append.allocs";
+/// Reservations that found the arena full with fills outstanding and
+/// waited for them to commit before it could grow.
+inline constexpr std::string_view kWalAppendRoomWaits =
+    "wal.append.room_waits";
 /// Async completion model: forces submitted to the device queue, and the
 /// time a durability point actually blocked reaping completions (the
 /// part of force latency that submit/reap overlap did not hide).
